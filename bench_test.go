@@ -10,6 +10,7 @@
 package pharmaverify
 
 import (
+	"context"
 	"io"
 	"os"
 	"testing"
@@ -23,7 +24,7 @@ func benchEnv(b *testing.B) *bench.Env {
 	if os.Getenv("PHARMAVERIFY_SCALE") == "full" {
 		scale = bench.FullScale
 	}
-	e, err := bench.NewEnv(scale)
+	e, err := bench.NewEnvCtx(context.Background(), scale)
 	if err != nil {
 		b.Fatal(err)
 	}

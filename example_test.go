@@ -1,6 +1,7 @@
 package pharmaverify_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,11 +14,13 @@ func Example() {
 	world := pharmaverify.GenerateWorld(pharmaverify.WorldConfig{
 		Seed: 5, NumLegit: 12, NumIllegit: 60, NetworkSize: 20,
 	})
-	snap, err := pharmaverify.BuildSnapshot("example", world, world.Domains(), world.Labels())
+	ctx := context.Background()
+	snap, err := pharmaverify.BuildSnapshotCtx(ctx, "example", world, world.Domains(), world.Labels(),
+		pharmaverify.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := pharmaverify.Train(snap, pharmaverify.Options{Classifier: pharmaverify.SVM, Seed: 3})
+	v, err := pharmaverify.TrainCtx(ctx, snap, pharmaverify.Options{Classifier: pharmaverify.SVM, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,7 +26,7 @@ func main() {
 
 	// Crawl one site "by hand" to show what the crawler sees.
 	domain := world.Domains()[0]
-	res := crawler.Crawl(world, domain, crawler.Config{})
+	res := crawler.CrawlCtx(context.Background(), world, domain, crawler.Config{})
 	fmt.Printf("crawl of %s: %d pages, %d external links\n", domain, len(res.Pages), len(res.External))
 	for _, p := range res.Pages[:3] {
 		fmt.Printf("  %-14s %q\n", p.Path, p.Title)
@@ -36,7 +37,7 @@ func main() {
 	// backoff enabled the crawler recovers the identical page set, and
 	// the telemetry shows what it cost.
 	flaky := crawler.NewFaultInjector(world, crawler.FaultConfig{Seed: 11, TransientRate: 0.3})
-	faulty := crawler.Crawl(flaky, domain, crawler.Config{
+	faulty := crawler.CrawlCtx(context.Background(), flaky, domain, crawler.Config{
 		Retry:         crawler.RetryConfig{MaxAttempts: 6, Seed: 11},
 		FailureBudget: 10,
 	})
@@ -47,7 +48,7 @@ func main() {
 		st.Attempts, st.Retries, st.Failures, st.PagesFailed, st.BreakerTrips)
 
 	// Full dataset build: all domains crawled concurrently.
-	snap, err := dataset.Build("crawlnet", world, world.Domains(), world.Labels(), crawler.Config{}, 16)
+	snap, err := dataset.BuildCtx(context.Background(), "crawlnet", world, world.Domains(), world.Labels(), dataset.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}

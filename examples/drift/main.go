@@ -13,11 +13,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pharmaverify/internal/core"
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/webgen"
 )
@@ -31,11 +31,11 @@ func main() {
 		Seed: seed, Snapshot: 2, NumLegit: 30, NumIllegit: 160,
 		IllegitOffset: 170, NetworkSize: 34,
 	})
-	old, err := dataset.Build("Dataset 1", w1, w1.Domains(), w1.Labels(), crawler.Config{}, 16)
+	old, err := dataset.BuildCtx(context.Background(), "Dataset 1", w1, w1.Domains(), w1.Labels(), dataset.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	new_, err := dataset.Build("Dataset 2", w2, w2.Domains(), w2.Labels(), crawler.Config{}, 16)
+	new_, err := dataset.BuildCtx(context.Background(), "Dataset 2", w2, w2.Domains(), w2.Labels(), dataset.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}

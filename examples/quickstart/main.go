@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,9 +23,11 @@ func main() {
 		NetworkSize: 25,
 	})
 
-	// 2. Crawl every domain (≤200 pages each), merge and preprocess
-	//    the text, extract outbound link endpoints.
-	snap, err := pharmaverify.BuildSnapshot("quickstart", world, world.Domains(), world.Labels())
+	// 2. Crawl every domain (≤200 pages each, 16 domains at a time),
+	//    merge and preprocess the text, extract outbound link endpoints.
+	ctx := context.Background()
+	snap, err := pharmaverify.BuildSnapshotCtx(ctx, "quickstart", world, world.Domains(), world.Labels(),
+		pharmaverify.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func main() {
 
 	// 3. Train the verification system: an SVM text model over TF-IDF
 	//    term vectors plus a TrustRank network model.
-	verifier, err := pharmaverify.Train(snap, pharmaverify.Options{
+	verifier, err := pharmaverify.TrainCtx(ctx, snap, pharmaverify.Options{
 		Classifier: pharmaverify.SVM,
 		Seed:       1,
 	})

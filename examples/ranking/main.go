@@ -8,11 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pharmaverify/internal/core"
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/webgen"
 )
@@ -21,7 +21,7 @@ func main() {
 	world := webgen.Generate(webgen.Config{
 		Seed: 7, NumLegit: 30, NumIllegit: 170, NetworkSize: 34,
 	})
-	snap, err := dataset.Build("ranking-demo", world, world.Domains(), world.Labels(), crawler.Config{}, 16)
+	snap, err := dataset.BuildCtx(context.Background(), "ranking-demo", world, world.Domains(), world.Labels(), dataset.BuildOptions{Workers: 16})
 	if err != nil {
 		log.Fatal(err)
 	}

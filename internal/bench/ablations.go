@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"pharmaverify/internal/core"
@@ -45,7 +46,7 @@ func AblationA2(e *Env) (*Table, error) {
 		Title:  "Ensemble selection vs combined text+network features",
 		Header: []string{"approach", "Acc.", "AUC", "legit recall"},
 	}
-	ens, err := core.EnsembleCV(e.Snap1, core.EnsembleConfig{Terms: terms, Seed: e.Scale.Seed})
+	ens, err := core.EnsembleCVCtx(context.Background(), e.Snap1, core.EnsembleConfig{Terms: terms, Seed: e.Scale.Seed})
 	if err != nil {
 		return nil, err
 	}

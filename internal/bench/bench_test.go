@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func smallEnv(t testing.TB) *Env {
 	t.Helper()
-	e, err := NewEnv(SmallScale)
+	e, err := NewEnvCtx(context.Background(), SmallScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestNewEnvCached(t *testing.T) {
 	a := smallEnv(t)
 	b := smallEnv(t)
 	if a != b {
-		t.Error("NewEnv must cache by scale")
+		t.Error("NewEnvCtx must cache by scale")
 	}
 }
 

@@ -85,14 +85,10 @@ var (
 	envCache = map[string]*Env{}
 )
 
-// NewEnv generates (or returns the cached) environment for a scale.
-func NewEnv(s Scale) (*Env, error) {
-	return NewEnvCtx(context.Background(), s)
-}
-
-// NewEnvCtx is NewEnv with cooperative cancellation of the snapshot
-// builds, the expensive phase of environment construction. A cancelled
-// build returns ctx's error and caches nothing.
+// NewEnvCtx generates (or returns the cached) environment for a scale.
+// The snapshot builds, the expensive phase of environment
+// construction, stop on cancellation: a cancelled build returns ctx's
+// error and caches nothing.
 func NewEnvCtx(ctx context.Context, s Scale) (*Env, error) {
 	key := fmt.Sprintf("%s-%d", s.Name, s.Seed)
 	envMu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -28,7 +29,8 @@ type KernelEntry struct {
 	// (runtime.MemStats.Mallocs deltas over the timed loop).
 	NaiveAllocsOp  float64 `json:"naive_allocs_op"`
 	KernelAllocsOp float64 `json:"kernel_allocs_op"`
-	// Speedup is NaiveNSOp / KernelNSOp.
+	// Speedup is the median of the naive/kernel time ratios of
+	// interleaved rounds (see measurePair).
 	Speedup float64 `json:"speedup"`
 	// AllocRatio is NaiveAllocsOp divided by KernelAllocsOp, with the
 	// kernel count clamped to at least 1 so a zero-allocation kernel
@@ -37,6 +39,11 @@ type KernelEntry struct {
 	// Identical is true when the kernel path reproduced the naive path's
 	// output bit for bit on every workload input.
 	Identical bool `json:"identical"`
+
+	// speedupIQR is the interquartile range of the per-round ratios
+	// behind Speedup (see measurePair); zero for entries read back
+	// from a report.
+	speedupIQR float64
 }
 
 // DefaultKernelBenchtime is the per-measurement target used when
@@ -48,14 +55,15 @@ const DefaultKernelBenchtime = 100 * time.Millisecond
 // kernelSink defeats dead-code elimination of the benchmark bodies.
 var kernelSink float64
 
-// measureOp times f in growing batches until the batch wall time
-// reaches benchtime, returning nanoseconds and heap allocations per
-// call. Allocations are process-wide Mallocs deltas; the caller runs
-// single-goroutine so the numbers are attributable to f.
-func measureOp(benchtime time.Duration, f func()) (nsOp, allocsOp float64) {
+// measureOp runs f in growing batches until the batch wall time
+// reaches benchtime, returning the heap allocations per call and the
+// size of that final batch. Allocations are process-wide Mallocs
+// deltas; the caller runs single-goroutine so the numbers are
+// attributable to f.
+func measureOp(benchtime time.Duration, f func()) (allocsOp float64, iters int) {
 	f() // warmup: pools filled, caches primed, code paths jitted into icache
 	target := int64(benchtime)
-	iters := 1
+	iters = 1
 	for {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -67,7 +75,7 @@ func measureOp(benchtime time.Duration, f func()) (nsOp, allocsOp float64) {
 		ns := nowNS() - start
 		runtime.ReadMemStats(&after)
 		if ns >= target || iters >= 1<<24 {
-			return float64(ns) / float64(iters), float64(after.Mallocs-before.Mallocs) / float64(iters)
+			return float64(after.Mallocs-before.Mallocs) / float64(iters), iters
 		}
 		next := iters * 4
 		if ns > 0 {
@@ -80,15 +88,65 @@ func measureOp(benchtime time.Duration, f func()) (nsOp, allocsOp float64) {
 	}
 }
 
-func finishKernelEntry(e *KernelEntry) {
-	if e.KernelNSOp > 0 {
-		e.Speedup = e.NaiveNSOp / e.KernelNSOp
+// pairRounds is the number of interleaved naive/kernel repetitions
+// behind each recorded speedup.
+const pairRounds = 9
+
+// measurePair fills e's timings, allocation counts and ratios for a
+// naive/kernel pair. Allocations per op come from one benchtime-long
+// measureOp window per side. Time comes from pairRounds rounds that
+// each run a batch of naive calls next to a batch of kernel calls
+// (alternating which goes first), both sized to about
+// benchtime/pairRounds. Load from other processes then lands on both
+// sides of a round, not on one side of the whole measurement. The
+// Speedup is the median of the per-round ratios, NaiveNSOp and
+// KernelNSOp are the medians of each side's per-round ns/op, and the
+// spread of the ratios is kept for the gate's messages.
+func measurePair(e *KernelEntry, benchtime time.Duration, naive, kernel func()) {
+	naiveAllocs, naiveIters := measureOp(benchtime, naive)
+	kernelAllocs, kernelIters := measureOp(benchtime, kernel)
+	perRound := func(iters int) int { return (iters + pairRounds - 1) / pairRounds }
+	naiveN, kernelN := perRound(naiveIters), perRound(kernelIters)
+	batch := func(f func(), n int) float64 {
+		start := nowNS()
+		for i := 0; i < n; i++ {
+			f()
+		}
+		return float64(nowNS()-start) / float64(n)
 	}
+	naiveNS := make([]float64, pairRounds)
+	kernelNS := make([]float64, pairRounds)
+	ratios := make([]float64, pairRounds)
+	for r := range ratios {
+		runtime.GC()
+		if r%2 == 0 {
+			naiveNS[r] = batch(naive, naiveN)
+			kernelNS[r] = batch(kernel, kernelN)
+		} else {
+			kernelNS[r] = batch(kernel, kernelN)
+			naiveNS[r] = batch(naive, naiveN)
+		}
+		if kernelNS[r] > 0 {
+			ratios[r] = naiveNS[r] / kernelNS[r]
+		}
+	}
+	e.NaiveNSOp, e.KernelNSOp = median(naiveNS), median(kernelNS)
+	e.NaiveAllocsOp, e.KernelAllocsOp = naiveAllocs, kernelAllocs
+	sort.Float64s(ratios)
+	e.Speedup = ratios[pairRounds/2]
+	e.speedupIQR = ratios[3*pairRounds/4] - ratios[pairRounds/4]
 	ka := e.KernelAllocsOp
 	if ka < 1 {
 		ka = 1
 	}
 	e.AllocRatio = e.NaiveAllocsOp / ka
+}
+
+// median returns the middle value of xs (sorting a copy).
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 // kernelSeed fixes the synthetic workload; the micro-benchmarks need no
@@ -218,21 +276,18 @@ func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 				}
 			}
 		}
-		var i int
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		var i, j int
+		var buf []float64
+		measurePair(&e, benchtime, func() {
 			g := ngram.FromDocument(w.texts[i%len(w.texts)])
 			f := naiveEight(g, w.legit, w.illegit)
 			kernelSink += f[0]
 			i++
-		})
-		var j int
-		var buf []float64
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			buf = ngram.DocFeatures(buf, w.texts[j%len(w.texts)], w.legit, w.illegit)
 			kernelSink += buf[0]
 			j++
 		})
-		finishKernelEntry(&e)
 		entries = append(entries, e)
 	}
 
@@ -254,19 +309,16 @@ func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 				e.Identical = false
 			}
 		}
-		var i int
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		var i, j int
+		measurePair(&e, benchtime, func() {
 			f := naiveEight(w.docGraphs[i%len(w.docGraphs)], w.legit, w.illegit)
 			kernelSink += f[0]
 			i++
-		})
-		var j int
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			a, b := ngram.CompareBoth(w.docGraphs[j%len(w.docGraphs)], w.legit, w.illegit)
 			kernelSink += a.CS + b.CS
 			j++
 		})
-		finishKernelEntry(&e)
 		entries = append(entries, e)
 	}
 
@@ -284,25 +336,21 @@ func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 				e.Identical = false
 			}
 		}
-		var i int
-		var nv ml.Vector
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		var i, j int
+		var nv, kv ml.Vector
+		measurePair(&e, benchtime, func() {
 			nv = w.vocab.TFIDF(w.termDocs[i%len(w.termDocs)])
 			i++
+		}, func() {
+			kv = z.TFIDF(w.termDocs[j%len(w.termDocs)])
+			j++
 		})
 		if len(nv.Val) > 0 {
 			kernelSink += nv.Val[0]
 		}
-		var j int
-		var kv ml.Vector
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
-			kv = z.TFIDF(w.termDocs[j%len(w.termDocs)])
-			j++
-		})
 		if len(kv.Val) > 0 {
 			kernelSink += kv.Val[0]
 		}
-		finishKernelEntry(&e)
 		entries = append(entries, e)
 	}
 
@@ -359,11 +407,12 @@ func CheckKernelRegression(cur, base []KernelEntry, tol float64) error {
 		}
 		fl := kernelFloors[b.ID]
 		if c.Speedup < fl.speedup {
-			return fmt.Errorf("bench: kernel %s: speedup %.2fx below the %.1fx floor", b.ID, c.Speedup, fl.speedup)
+			return fmt.Errorf("bench: kernel %s: speedup %.2fx (IQR %.2fx over %d rounds) below the %.1fx floor",
+				b.ID, c.Speedup, c.speedupIQR, pairRounds, fl.speedup)
 		}
 		if want := b.Speedup / tol; c.Speedup < want {
-			return fmt.Errorf("bench: kernel %s: speedup regressed to %.2fx (baseline %.2fx, tolerance %.1f requires >= %.2fx)",
-				b.ID, c.Speedup, b.Speedup, tol, want)
+			return fmt.Errorf("bench: kernel %s: speedup regressed to %.2fx (IQR %.2fx over %d rounds; baseline %.2fx, tolerance %.1f requires >= %.2fx)",
+				b.ID, c.Speedup, c.speedupIQR, pairRounds, b.Speedup, tol, want)
 		}
 		if fl.allocRatio > 0 && c.AllocRatio < fl.allocRatio {
 			return fmt.Errorf("bench: kernel %s: alloc ratio %.2fx below the %.1fx floor", b.ID, c.AllocRatio, fl.allocRatio)

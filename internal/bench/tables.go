@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"pharmaverify/internal/core"
@@ -103,7 +104,7 @@ func (e *Env) prewarmText(rep core.Representation, rows []textRow, sizes []int) 
 			cells = append(cells, cell{row: r, k: k})
 		}
 	}
-	_, err := parallel.MapErr(len(cells), 0, func(i int) (struct{}, error) {
+	_, err := parallel.MapErrCtx(context.Background(), len(cells), 0, func(i int) (struct{}, error) {
 		_, err := e.TextResult(rep, cells[i].row.Clf, cells[i].row.Smp, cells[i].k)
 		return struct{}{}, err
 	})
@@ -336,7 +337,7 @@ func Table14(e *Env) (*Table, error) {
 			terms = e.Scale.TermSizes[len(e.Scale.TermSizes)-2]
 		}
 	}
-	ens, err := core.EnsembleCV(e.Snap1, core.EnsembleConfig{Terms: terms, Seed: e.Scale.Seed})
+	ens, err := core.EnsembleCVCtx(context.Background(), e.Snap1, core.EnsembleConfig{Terms: terms, Seed: e.Scale.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +453,7 @@ func driftTable(e *Env, id, title string, pick func(core.DriftResult, core.Drift
 			jobs = append(jobs, job{spec: spec, k: k})
 		}
 	}
-	res, err := parallel.MapErr(len(jobs), 0, func(i int) (core.DriftResult, error) {
+	res, err := parallel.MapErrCtx(context.Background(), len(jobs), 0, func(i int) (core.DriftResult, error) {
 		j := jobs[i]
 		return core.DriftStudy(e.Snap1, e.Snap2, core.TextConfig{
 			Classifier: j.spec.Clf, Sampling: j.spec.Smp, Terms: j.k, Seed: e.Scale.Seed,

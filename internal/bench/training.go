@@ -91,7 +91,7 @@ func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 
 	var entries []KernelEntry
 
-	// Greedy ensemble selection: the hillclimb core.Train and EnsembleCV
+	// Greedy ensemble selection: the hillclimb core.Train and EnsembleCVCtx
 	// run per fold. Naive = metric re-evaluated inside the sort
 	// comparator and a fresh averaging slice per candidate bag; kernel =
 	// precomputed single-model score table + shared scratch.
@@ -113,15 +113,13 @@ func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 				}
 			}
 		}
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		measurePair(&e, benchtime, func() {
 			sel := ensemble.SelectGreedyReference(probs, labels, 2, 20, eval.AUC)
 			kernelSink += float64(len(sel))
-		})
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			sel := ensemble.SelectGreedy(probs, labels, 2, 20, eval.AUC)
 			kernelSink += float64(len(sel))
 		})
-		finishKernelEntry(&e)
 		entries = append(entries, e)
 	}
 
@@ -134,15 +132,13 @@ func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 			Desc:      "synthetic world generation, 72 sites (pooled append render kernel vs strings.Builder+fmt reference)",
 			Identical: worldsIdentical(webgen.Generate(trainingWebgenConfig), webgen.GenerateReference(trainingWebgenConfig)),
 		}
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		measurePair(&e, benchtime, func() {
 			w := webgen.GenerateReference(trainingWebgenConfig)
 			kernelSink += float64(len(w.Domains()))
-		})
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			w := webgen.Generate(trainingWebgenConfig)
 			kernelSink += float64(len(w.Domains()))
 		})
-		finishKernelEntry(&e)
 		entries = append(entries, e)
 	}
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/eval"
 	"pharmaverify/internal/ml"
@@ -22,7 +22,7 @@ func testSnapshot(t testing.TB, seed int64) *dataset.Snapshot {
 	w := webgen.Generate(webgen.Config{
 		Seed: seed, NumLegit: 30, NumIllegit: 180, NetworkSize: 30,
 	})
-	snap, err := dataset.Build("test", w, w.Domains(), w.Labels(), crawler.Config{}, 8)
+	snap, err := dataset.BuildCtx(context.Background(), "test", w, w.Domains(), w.Labels(), dataset.BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEnsembleCV(t *testing.T) {
 		t.Skip("slow model training; skipped in -short")
 	}
 	snap := testSnapshot(t, 1)
-	res, err := EnsembleCV(snap, EnsembleConfig{Terms: 250, Seed: 7})
+	res, err := EnsembleCVCtx(context.Background(), snap, EnsembleConfig{Terms: 250, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ func TestOutliers(t *testing.T) {
 func TestDriftStudy(t *testing.T) {
 	w1 := webgen.Generate(webgen.Config{Seed: 2, Snapshot: 1, NumLegit: 20, NumIllegit: 100, NetworkSize: 25})
 	w2 := webgen.Generate(webgen.Config{Seed: 2, Snapshot: 2, NumLegit: 20, NumIllegit: 90, IllegitOffset: 100, NetworkSize: 25})
-	s1, err := dataset.Build("d1", w1, w1.Domains(), w1.Labels(), crawler.Config{}, 8)
+	s1, err := dataset.BuildCtx(context.Background(), "d1", w1, w1.Domains(), w1.Labels(), dataset.BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := dataset.Build("d2", w2, w2.Domains(), w2.Labels(), crawler.Config{}, 8)
+	s2, err := dataset.BuildCtx(context.Background(), "d2", w2, w2.Domains(), w2.Labels(), dataset.BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,23 +50,15 @@ type ensembleMember struct {
 	ds   *ml.Dataset // feature view aligned with snapshot order
 }
 
-// EnsembleCV runs cross-validated ensemble selection over a library of
-// heterogeneous models: NBM on term counts, SVM and J48 on TF-IDF, MLP
-// on N-Gram-Graph similarities, and Naïve Bayes on TrustRank scores.
-// Within each fold the training split is divided into a build portion
-// (model fitting) and a hillclimb portion (greedy selection), as in
-// Caruana et al.
-func EnsembleCV(snap *dataset.Snapshot, cfg EnsembleConfig) (eval.CVResult, error) {
-	return EnsembleCVCtx(context.Background(), snap, cfg)
-}
-
-// EnsembleCVCtx is EnsembleCV with cooperative cancellation: the fold
-// fan-out and the per-fold library training both stop dispatching once
-// ctx is cancelled, drain, and surface ctx's error.
+// EnsembleCVCtx runs cross-validated ensemble selection over a library
+// of heterogeneous models: NBM on term counts, SVM and J48 on TF-IDF,
+// MLP on N-Gram-Graph similarities, and Naïve Bayes on TrustRank
+// scores. Within each fold the training split is divided into a build
+// portion (model fitting) and a hillclimb portion (greedy selection),
+// as in Caruana et al. The fold fan-out and the per-fold library
+// training both stop dispatching once ctx is cancelled, drain, and
+// surface ctx's error.
 func EnsembleCVCtx(ctx context.Context, snap *dataset.Snapshot, cfg EnsembleConfig) (eval.CVResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg = cfg.withDefaults()
 	labels := snap.Labels()
 	names := snap.Domains()
@@ -196,7 +188,7 @@ func CombinedFeaturesCV(snap *dataset.Snapshot, clf ClassifierKind, terms int, f
 	labelDS := &ml.Dataset{Dim: 1, X: make([]ml.Vector, len(labels)), Y: labels}
 	kf := eval.StratifiedKFold(labelDS, folds, seed)
 
-	frs, err := parallel.MapErr(len(kf), 0, func(f int) (eval.FoldResult, error) {
+	frs, err := parallel.MapErrCtx(context.Background(), len(kf), 0, func(f int) (eval.FoldResult, error) {
 		trainIdx, testIdx := kf.TrainTest(f)
 		seeds := seedMap(snap, trainIdx, net.Variant)
 		netScores, err := NetworkScores(snap, seeds, net)

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/webgen"
 )
@@ -18,7 +18,7 @@ func auxSnapshot(t testing.TB) *dataset.Snapshot {
 	})
 	dirs := w.GenerateDirectories(2, 2)
 	auxDomains := w.AttachDirectories(dirs)
-	snap, err := dataset.BuildWithAux("aux-test", w, w.Domains(), w.Labels(), auxDomains, crawler.Config{}, 8)
+	snap, err := dataset.BuildCtx(context.Background(), "aux-test", w, w.Domains(), w.Labels(), dataset.BuildOptions{Workers: 8, Aux: auxDomains})
 	if err != nil {
 		t.Fatal(err)
 	}

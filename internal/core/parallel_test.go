@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -51,7 +52,7 @@ func TestEnsembleCVParallelDeterministic(t *testing.T) {
 	}
 	snap := testSnapshot(t, 1)
 	run := func(workers int) eval.CVResult {
-		res, err := EnsembleCV(snap, EnsembleConfig{Terms: 100, Seed: 7, Workers: workers})
+		res, err := EnsembleCVCtx(context.Background(), snap, EnsembleConfig{Terms: 100, Seed: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestEnsembleCVParallelDeterministic(t *testing.T) {
 	seq := run(1)
 	par := run(8)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("EnsembleCV differs between Workers=1 and Workers=8")
+		t.Fatal("EnsembleCVCtx differs between Workers=1 and Workers=8")
 	}
 }
 

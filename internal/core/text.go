@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -147,10 +148,10 @@ func tfidfCV(snap *dataset.Snapshot, cfg TextConfig) (eval.CVResult, error) {
 	}
 	foldsKey := fmt.Sprintf("folds|%s|%d|%d|%d|%d|%s", snap.ContentHash(), cfg.Terms, cfg.Seed, w, cfg.Folds, cfg.Sampling)
 	v, _ := featureCache.DoScoped(featcache.ScopeTraining, foldsKey, func() (any, error) {
-		_, inputs, err := eval.PrepareFoldsCtx(nil, ds, cfg.Folds, cfg.Seed, smp)
+		_, inputs, err := eval.PrepareFoldsCtx(context.Background(), ds, cfg.Folds, cfg.Seed, smp)
 		return inputs, err
 	})
-	return eval.CrossValidateOpts(ds, cfg.Folds, cfg.Seed, trainer, smp, eval.CVOptions{
+	return eval.CrossValidateCtx(context.Background(), ds, cfg.Folds, cfg.Seed, trainer, smp, eval.CVOptions{
 		Workers:  cfg.Workers,
 		Prepared: v.([]eval.FoldInput),
 	})
@@ -271,7 +272,7 @@ func nggFoldFeatures(snap *dataset.Snapshot, terms, foldCount int, seed int64, w
 		plane.acquire()
 		defer plane.release()
 		data := &nggFoldData{folds: folds, ds: make([]*ml.Dataset, len(folds))}
-		parallel.For(len(folds), plan.FoldWorkers, func(f int) {
+		parallel.ForCtx(context.Background(), len(folds), plan.FoldWorkers, func(f int) {
 			data.ds[f] = plane.featureDataset(halves[f], plan.DocWorkers, plan.DocGrain)
 		})
 		return data, nil
@@ -294,7 +295,7 @@ func nggCV(snap *dataset.Snapshot, cfg TextConfig) (eval.CVResult, error) {
 	data := nggFoldFeatures(snap, cfg.Terms, cfg.Folds, cfg.Seed, cfg.Workers)
 	folds := data.folds
 
-	frs, err := parallel.MapErr(len(folds), cfg.Workers, func(f int) (eval.FoldResult, error) {
+	frs, err := parallel.MapErrCtx(context.Background(), len(folds), cfg.Workers, func(f int) (eval.FoldResult, error) {
 		trainIdx, testIdx := folds.TrainTest(f)
 		ds := data.ds[f]
 

@@ -123,9 +123,6 @@ func Train(snap *dataset.Snapshot, opts Options) (*Verifier, error) {
 // the coarse stage granularity means the cancel latency is bounded by
 // one classifier fit.
 func TrainCtx(ctx context.Context, snap *dataset.Snapshot, opts Options) (*Verifier, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
 	if snap.Len() == 0 {
 		return nil, ErrNoTraining

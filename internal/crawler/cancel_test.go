@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -90,7 +89,7 @@ func TestCrawlCtxPrecanceled(t *testing.T) {
 func TestCrawlCtxDeadlinePartial(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 7, NumLegit: 2, NumIllegit: 2, NetworkSize: 2})
 	domain := w.Domains()[0]
-	full := Crawl(w, domain, Config{IgnoreRobots: true})
+	full := CrawlCtx(context.Background(), w, domain, Config{IgnoreRobots: true})
 	if len(full.Pages) < 3 {
 		t.Fatalf("synthetic site too small (%d pages) for a partial-crawl test", len(full.Pages))
 	}
@@ -108,37 +107,4 @@ func TestCrawlCtxDeadlinePartial(t *testing.T) {
 	if len(r.Pages) >= len(full.Pages) {
 		t.Errorf("deadline-bounded crawl got all %d pages; expected a partial result", len(full.Pages))
 	}
-}
-
-// TestCrawlAllCtxCancel checks the fan-out contract: on cancel the
-// started domains return partial results marked with Stats.Cancels,
-// unstarted domains are absent, and ctx's error is surfaced.
-func TestCrawlAllCtxCancel(t *testing.T) {
-	w := webgen.Generate(webgen.Config{Seed: 9, NumLegit: 3, NumIllegit: 5, NetworkSize: 3})
-	domains := w.Domains()
-	baseline := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Every fetch blocks until the context dies, so the first wave of
-	// domains is in flight when the cancel arrives and no domain can
-	// ever complete.
-	blocked := FetcherFunc(func(d, p string) (string, error) {
-		<-ctx.Done()
-		return "", ctx.Err()
-	})
-	time.AfterFunc(50*time.Millisecond, cancel)
-	results, err := CrawlAllCtx(ctx, blocked, domains, Config{IgnoreRobots: true}, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(results) == 0 || len(results) >= len(domains) {
-		t.Fatalf("%d of %d domains present; want only the started wave", len(results), len(domains))
-	}
-	for d, r := range results {
-		if r.Stats.Cancels != 1 {
-			t.Errorf("%s: Stats.Cancels = %d, want 1", d, r.Stats.Cancels)
-		}
-	}
-	waitGoroutines(t, baseline)
 }

@@ -22,14 +22,14 @@
 //
 // # Cancellation
 //
-// CrawlCtx and CrawlAllCtx are the context-aware entry points: a
-// cancelled or expired context stops the crawl promptly — politeness
-// delays and backoff sleeps select on ctx.Done(), workers stop claiming
-// frontier work, and in-flight fetches are abandoned (fetchers that
-// implement CtxFetcher are cancelled; plain Fetchers have their result
-// discarded). An interrupted domain returns the pages collected so far
-// with Stats.Cancels set, so callers can tell a degraded partial crawl
-// from a complete one.
+// CrawlCtx takes a context: a cancelled or expired context stops the
+// crawl promptly — politeness delays and backoff sleeps select on
+// ctx.Done(), workers stop claiming frontier work, and in-flight
+// fetches are abandoned (fetchers that implement CtxFetcher are
+// cancelled; plain Fetchers have their result discarded). An
+// interrupted domain returns the pages collected so far with
+// Stats.Cancels set, so callers can tell a degraded partial crawl from
+// a complete one.
 package crawler
 
 import (
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"pharmaverify/internal/htmlx"
-	"pharmaverify/internal/parallel"
 )
 
 // DefaultMaxPages is the per-domain page cap from the paper.
@@ -165,26 +164,19 @@ func (r Result) Text() []string {
 	return out
 }
 
-// Crawl fetches one domain breadth-first starting from "/". Unless
+// CrawlCtx fetches one domain breadth-first starting from "/". Unless
 // Config.IgnoreRobots is set, /robots.txt is consulted first and
 // disallowed paths are skipped. A missing robots.txt (permanent error)
 // allows all; a robots.txt that stays unreachable through the retry
 // budget also allows all but is recorded in Stats.RobotsUnreachable.
-func Crawl(f Fetcher, domain string, cfg Config) Result {
-	return CrawlCtx(context.Background(), f, domain, cfg)
-}
-
-// CrawlCtx is Crawl with cooperative cancellation: when ctx is
-// cancelled or its deadline expires, politeness and backoff sleeps are
-// interrupted, no further pages are claimed, and the pages collected so
-// far are returned with Stats.Cancels set (unless the crawl had already
-// finished naturally). The cancel-to-return latency is bounded by one
-// in-flight fetch attempt — never by a backoff sleep.
+//
+// When ctx is cancelled or its deadline expires, politeness and backoff
+// sleeps are interrupted, no further pages are claimed, and the pages
+// collected so far are returned with Stats.Cancels set (unless the
+// crawl had already finished naturally). The cancel-to-return latency
+// is bounded by one in-flight fetch attempt — never by a backoff sleep.
 func CrawlCtx(ctx context.Context, f Fetcher, domain string, cfg Config) Result {
 	cfg = cfg.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
 	var (
 		mu sync.Mutex
@@ -418,38 +410,6 @@ func CrawlCtx(ctx context.Context, f Fetcher, domain string, cfg Config) Result 
 		Failed:   st.Failures,
 		Stats:    st,
 	}
-}
-
-// CrawlAll crawls many domains concurrently (workers controls the
-// number of simultaneous domain crawls; <= 0 uses the shared worker
-// default — parallel.SetDefault / PHARMAVERIFY_WORKERS, then
-// GOMAXPROCS) and returns results keyed by domain. Aggregate the
-// per-domain telemetry with AggregateStats.
-func CrawlAll(f Fetcher, domains []string, cfg Config, workers int) map[string]Result {
-	results, _ := CrawlAllCtx(context.Background(), f, domains, cfg, workers)
-	return results
-}
-
-// CrawlAllCtx is CrawlAll with cooperative cancellation. The domain
-// fan-out runs through the shared parallel engine, so it honors the
-// process-wide worker default. On cancellation no new domains are
-// started; domains already crawling return partial results with
-// Stats.Cancels set, unstarted domains are absent from the map, and
-// ctx's error is returned alongside whatever completed.
-func CrawlAllCtx(ctx context.Context, f Fetcher, domains []string, cfg Config, workers int) (map[string]Result, error) {
-	slots := make([]Result, len(domains))
-	started := make([]bool, len(domains))
-	err := parallel.ForCtx(ctx, len(domains), workers, func(i int) {
-		started[i] = true
-		slots[i] = CrawlCtx(ctx, f, domains[i], cfg)
-	})
-	results := make(map[string]Result, len(domains))
-	for i, r := range slots {
-		if started[i] {
-			results[r.Domain] = r
-		}
-	}
-	return results, err
 }
 
 // internalPath resolves a link found on the page at base against the

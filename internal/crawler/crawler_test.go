@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,7 +32,7 @@ func TestCrawlFollowsInternalLinks(t *testing.T) {
 		"x.com|/b": `<p>page b</p>`,
 		"x.com|/c": `<p>page c</p><a href="http://other.com/x">ext</a>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 4 {
 		t.Fatalf("pages = %d, want 4", len(r.Pages))
 	}
@@ -62,7 +63,7 @@ func TestCrawlMaxPages(t *testing.T) {
 		}
 		return f.Fetch(domain, path)
 	})
-	r := Crawl(counting, "x.com", Config{MaxPages: 10, Workers: 4})
+	r := CrawlCtx(context.Background(), counting, "x.com", Config{MaxPages: 10, Workers: 4})
 	if len(r.Pages) != 10 {
 		t.Errorf("crawled %d pages, cap 10", len(r.Pages))
 	}
@@ -79,7 +80,7 @@ func TestCrawlWorkersExceedFrontierNoDeadlock(t *testing.T) {
 	// entries: every idle worker must wake up and exit.
 	f := mapFetcher{"x.com|/": `<p>only page</p>`}
 	done := make(chan Result, 1)
-	go func() { done <- Crawl(f, "x.com", Config{Workers: 32}) }()
+	go func() { done <- CrawlCtx(context.Background(), f, "x.com", Config{Workers: 32}) }()
 	select {
 	case r := <-done:
 		if len(r.Pages) != 1 {
@@ -109,7 +110,7 @@ func TestCrawlRetriesTransientErrors(t *testing.T) {
 		}
 		return "", Permanent(errors.New("404"))
 	})
-	r := Crawl(f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 3}})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 3}})
 	if len(r.Pages) != 2 {
 		t.Fatalf("pages = %d, want 2 (transient failure must be retried)", len(r.Pages))
 	}
@@ -133,7 +134,7 @@ func TestCrawlDoesNotRetryPermanentErrors(t *testing.T) {
 		atomic.AddInt32(&missingCalls, 1)
 		return "", Permanent(errors.New("404"))
 	})
-	r := Crawl(f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 5}})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 5}})
 	if n := atomic.LoadInt32(&missingCalls); n != 1 {
 		t.Errorf("permanent 404 fetched %d times, want 1", n)
 	}
@@ -161,7 +162,7 @@ func TestCrawlCircuitBreaker(t *testing.T) {
 		atomic.AddInt32(&childFetches, 1)
 		return "", Permanent(errors.New("503 forever"))
 	})
-	r := Crawl(f, "x.com", Config{Workers: 1, FailureBudget: 3})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Workers: 1, FailureBudget: 3})
 	if r.Stats.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", r.Stats.BreakerTrips)
 	}
@@ -185,7 +186,7 @@ func TestCrawlFetchTimeout(t *testing.T) {
 		}
 		return `<a href="/hang">h</a><p>root</p>`, nil
 	})
-	r := Crawl(f, "x.com", Config{FetchTimeout: 50 * time.Millisecond})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{FetchTimeout: 50 * time.Millisecond})
 	close(slow)
 	if r.Stats.Timeouts != 1 {
 		t.Errorf("Timeouts = %d, want 1", r.Stats.Timeouts)
@@ -214,7 +215,7 @@ func TestCrawlRobotsRetriedWithDelay(t *testing.T) {
 		}
 		return "", Permanent(errors.New("404"))
 	})
-	r := Crawl(f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 3}})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 3}})
 	if got := atomic.LoadInt32(&robotsCalls); got != 2 {
 		t.Errorf("robots.txt fetched %d times, want 2 (one retry)", got)
 	}
@@ -241,7 +242,7 @@ func TestCrawlRobotsUnreachableRecorded(t *testing.T) {
 		}
 		return "", Permanent(errors.New("404"))
 	})
-	r := Crawl(f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 2}})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Retry: RetryConfig{MaxAttempts: 2}})
 	if !r.Stats.RobotsUnreachable {
 		t.Error("RobotsUnreachable not recorded for a robots.txt that kept timing out")
 	}
@@ -258,7 +259,7 @@ func TestCrawlHandlesFetchErrors(t *testing.T) {
 	f := mapFetcher{
 		"x.com|/": `<a href="/missing">gone</a><p>root</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	// Fetched counts fetch attempts: "/" (success) and "/missing"
 	// (failure).
 	if r.Fetched != 2 || r.Failed != 1 {
@@ -281,7 +282,7 @@ func TestCrawlDeduplicatesPaths(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return `<a href="/">home</a><a href="/">again</a><p>x</p>`, nil
 	})
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 1 {
 		t.Errorf("pages = %d", len(r.Pages))
 	}
@@ -296,7 +297,7 @@ func TestCrawlAbsoluteInternalAndWWW(t *testing.T) {
 		"x.com|/a": `<p>a</p>`,
 		"x.com|/b": `<p>b</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 3 {
 		t.Errorf("pages = %d, want 3 (absolute internal links followed)", len(r.Pages))
 	}
@@ -310,7 +311,7 @@ func TestCrawlFragmentsAndSchemesIgnored(t *testing.T) {
 		"x.com|/":  `<a href="#top">top</a><a href="mailto:[email protected]">m</a><a href="/a#frag">a</a><p>.</p>`,
 		"x.com|/a": `<p>a</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 2 {
 		t.Errorf("pages = %d, want 2", len(r.Pages))
 	}
@@ -351,13 +352,13 @@ func TestInternalPath(t *testing.T) {
 
 func TestCrawlResolvesRelativeLinks(t *testing.T) {
 	f := mapFetcher{
-		"x.com|/":            `<a href="/docs/a">docs</a><p>root</p>`,
-		"x.com|/docs/a":      `<a href="b">sibling</a><a href="sub/c">deeper</a><p>a</p>`,
-		"x.com|/docs/b":      `<p>b</p>`,
-		"x.com|/docs/sub/c":  `<a href="../b">up</a><p>c</p>`,
-		"x.com|/b":           `<p>WRONG: root-resolved sibling</p>`,
+		"x.com|/":           `<a href="/docs/a">docs</a><p>root</p>`,
+		"x.com|/docs/a":     `<a href="b">sibling</a><a href="sub/c">deeper</a><p>a</p>`,
+		"x.com|/docs/b":     `<p>b</p>`,
+		"x.com|/docs/sub/c": `<a href="../b">up</a><p>c</p>`,
+		"x.com|/b":          `<p>WRONG: root-resolved sibling</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	var paths []string
 	for _, p := range r.Pages {
 		paths = append(paths, p.Path)
@@ -371,7 +372,7 @@ func TestCrawlResolvesRelativeLinks(t *testing.T) {
 func TestCrawlSyntheticWorld(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 1, NumLegit: 3, NumIllegit: 6, NetworkSize: 3})
 	d := w.Domains()[0]
-	r := Crawl(w, d, Config{})
+	r := CrawlCtx(context.Background(), w, d, Config{})
 	if len(r.Pages) != len(w.Site(d).Paths) {
 		t.Errorf("crawled %d pages, site has %d", len(r.Pages), len(w.Site(d).Paths))
 	}
@@ -385,25 +386,11 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 	}
 }
 
-func TestCrawlAll(t *testing.T) {
-	w := webgen.Generate(webgen.Config{Seed: 2, NumLegit: 4, NumIllegit: 8, NetworkSize: 4})
-	domains := w.Domains()
-	results := CrawlAll(w, domains, Config{}, 4)
-	if len(results) != len(domains) {
-		t.Fatalf("results = %d, want %d", len(results), len(domains))
-	}
-	for _, d := range domains {
-		if results[d].Fetched == 0 {
-			t.Errorf("domain %s: nothing fetched", d)
-		}
-	}
-}
-
 func TestCrawlDeterministicAcrossWorkerCounts(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 3, NumLegit: 2, NumIllegit: 4, NetworkSize: 2})
 	d := w.Domains()[0]
-	a := Crawl(w, d, Config{Workers: 1})
-	b := Crawl(w, d, Config{Workers: 8})
+	a := CrawlCtx(context.Background(), w, d, Config{Workers: 1})
+	b := CrawlCtx(context.Background(), w, d, Config{Workers: 8})
 	if !reflect.DeepEqual(a.Pages, b.Pages) || !reflect.DeepEqual(a.External, b.External) {
 		t.Error("crawl output depends on worker count")
 	}
@@ -435,7 +422,7 @@ func TestHTTPFetcher(t *testing.T) {
 		t.Error("404 must be an error")
 	}
 
-	r := Crawl(h, domain, Config{MaxPages: 5})
+	r := CrawlCtx(context.Background(), h, domain, Config{MaxPages: 5})
 	if len(r.Pages) != 2 {
 		t.Errorf("HTTP crawl pages = %d, want 2", len(r.Pages))
 	}
@@ -447,6 +434,6 @@ func BenchmarkCrawlSite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Crawl(w, d, Config{})
+		CrawlCtx(context.Background(), w, d, Config{})
 	}
 }

@@ -58,9 +58,9 @@ func TestCrawlRecoversFromTransientFaults(t *testing.T) {
 	const maxAttempts = 6
 	cleanPages, faultyPages := 0, 0
 	for _, d := range w.Domains() {
-		clean := Crawl(w, d, Config{})
+		clean := CrawlCtx(context.Background(), w, d, Config{})
 		flaky := NewFaultInjector(w, FaultConfig{Seed: 99, TransientRate: 0.3})
-		faulty := Crawl(flaky, d, Config{
+		faulty := CrawlCtx(context.Background(), flaky, d, Config{
 			Retry: RetryConfig{MaxAttempts: maxAttempts, BaseDelay: time.Microsecond, Seed: 99},
 		})
 
@@ -101,7 +101,7 @@ func TestCrawlRecoveryDeterministicUnderFaults(t *testing.T) {
 	d := w.Domains()[1]
 	run := func() Result {
 		flaky := NewFaultInjector(w, FaultConfig{Seed: 5, TransientRate: 0.3})
-		return Crawl(flaky, d, Config{Workers: 8, Retry: RetryConfig{MaxAttempts: 6}})
+		return CrawlCtx(context.Background(), flaky, d, Config{Workers: 8, Retry: RetryConfig{MaxAttempts: 6}})
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a.Pages, b.Pages) || !reflect.DeepEqual(a.External, b.External) {
@@ -113,7 +113,7 @@ func TestCrawlPermanentFaultsDegradeGracefully(t *testing.T) {
 	w := faultWorld()
 	d := w.Domains()[2]
 	flaky := NewFaultInjector(w, FaultConfig{Seed: 3, PermanentRate: 0.2})
-	r := Crawl(flaky, d, Config{Retry: RetryConfig{MaxAttempts: 4}})
+	r := CrawlCtx(context.Background(), flaky, d, Config{Retry: RetryConfig{MaxAttempts: 4}})
 	st := flaky.Stats()
 	if st.Permanent > 0 && r.Stats.Retries != 0 {
 		t.Errorf("permanently broken pages were retried: %+v", r.Stats)
@@ -126,11 +126,16 @@ func TestCrawlPermanentFaultsDegradeGracefully(t *testing.T) {
 	}
 }
 
-func TestCrawlAllAggregateStats(t *testing.T) {
+// TestCrawlStatsReconcileWithInjector sums the telemetry of a flaky
+// crawl over a whole world and checks it against the injector's own
+// count of the attempts it served.
+func TestCrawlStatsReconcileWithInjector(t *testing.T) {
 	w := faultWorld()
 	flaky := NewFaultInjector(w, FaultConfig{Seed: 42, TransientRate: 0.3})
-	results := CrawlAll(flaky, w.Domains(), Config{Retry: RetryConfig{MaxAttempts: 6}}, 4)
-	total := AggregateStats(results)
+	var total Stats
+	for _, d := range w.Domains() {
+		total.Add(CrawlCtx(context.Background(), flaky, d, Config{Retry: RetryConfig{MaxAttempts: 6}}).Stats)
+	}
 	if total.Attempts != total.Successes+total.Failures {
 		t.Errorf("aggregate stats do not reconcile: %+v", total)
 	}

@@ -9,7 +9,7 @@ import (
 // crawler: User-agent groups, Disallow and Allow prefix rules, with
 // longest-match precedence (Google's documented tie-breaking).
 //
-// crawler4j — the crawler the paper used — honors robots.txt; Crawl
+// crawler4j — the crawler the paper used — honors robots.txt; CrawlCtx
 // does the same when the Fetcher serves a /robots.txt document.
 type Robots struct {
 	groups []robotsGroup

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestCrawlHonorsRobots(t *testing.T) {
 		"x.com|/public":     `<p>open</p>`,
 		"x.com|/private":    `<p>secret</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 2 {
 		t.Fatalf("pages = %d, want 2 (robots must exclude /private)", len(r.Pages))
 	}
@@ -104,7 +105,7 @@ func TestCrawlRobotsFullBlock(t *testing.T) {
 		"x.com|/robots.txt": "User-agent: *\nDisallow: /\n",
 		"x.com|/":           `<p>content</p>`,
 	}
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 0 {
 		t.Errorf("fully blocked site crawled %d pages", len(r.Pages))
 	}
@@ -115,7 +116,7 @@ func TestCrawlIgnoreRobots(t *testing.T) {
 		"x.com|/robots.txt": "User-agent: *\nDisallow: /\n",
 		"x.com|/":           `<p>content</p>`,
 	}
-	r := Crawl(f, "x.com", Config{IgnoreRobots: true})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{IgnoreRobots: true})
 	if len(r.Pages) != 1 {
 		t.Errorf("IgnoreRobots crawl got %d pages", len(r.Pages))
 	}
@@ -128,7 +129,7 @@ func TestCrawlMissingRobotsAllowsAll(t *testing.T) {
 		}
 		return `<p>fine</p>`, nil
 	})
-	r := Crawl(f, "x.com", Config{})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{})
 	if len(r.Pages) != 1 || r.Failed != 0 {
 		t.Errorf("missing robots.txt must not count as failure: %+v", r)
 	}
@@ -141,7 +142,7 @@ func TestCrawlSpecificAgentGroup(t *testing.T) {
 		"x.com|/only-us":    `<p>no</p>`,
 		"x.com|/open":       `<p>yes</p>`,
 	}
-	r := Crawl(f, "x.com", Config{UserAgent: "pharmaverify"})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{UserAgent: "pharmaverify"})
 	got := map[string]bool{}
 	for _, p := range r.Pages {
 		got[p.Path] = true
@@ -160,7 +161,7 @@ func TestCrawlPolitenessDelay(t *testing.T) {
 		"x.com|/a": `<p>a</p>`,
 	}
 	start := time.Now()
-	r := Crawl(f, "x.com", Config{Delay: 30 * time.Millisecond, Workers: 1})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Delay: 30 * time.Millisecond, Workers: 1})
 	if len(r.Pages) != 2 {
 		t.Fatalf("pages = %d", len(r.Pages))
 	}

@@ -107,12 +107,3 @@ func (a *Aggregator) Snapshot() (total Stats, crawls int) {
 	defer a.mu.Unlock()
 	return *a.total.Clone(), a.crawls
 }
-
-// AggregateStats sums the telemetry of a CrawlAll result set.
-func AggregateStats(results map[string]Result) Stats {
-	var total Stats
-	for _, r := range results {
-		total.Add(r.Stats)
-	}
-	return total
-}

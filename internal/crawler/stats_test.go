@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -83,7 +84,7 @@ func TestCrawlAttemptBudget(t *testing.T) {
 		f[fmt.Sprintf("x.com|/p%d", i)] = fmt.Sprintf(`<a href="/p%d">next</a><p>n</p>`, i+1)
 	}
 	for _, workers := range []int{1, 4} {
-		r := Crawl(f, "x.com", Config{Workers: workers, AttemptBudget: 5})
+		r := CrawlCtx(context.Background(), f, "x.com", Config{Workers: workers, AttemptBudget: 5})
 		if r.Stats.Attempts > 5 {
 			t.Errorf("workers=%d: %d attempts, budget 5", workers, r.Stats.Attempts)
 		}
@@ -99,7 +100,7 @@ func TestCrawlAttemptBudget(t *testing.T) {
 func TestCrawlAttemptBudgetZeroUnlimited(t *testing.T) {
 	f := mapFetcher{"x.com|/": `<a href="/a">a</a><a href="/b">b</a>`,
 		"x.com|/a": `<p>a</p>`, "x.com|/b": `<p>b</p>`}
-	r := Crawl(f, "x.com", Config{Workers: 2})
+	r := CrawlCtx(context.Background(), f, "x.com", Config{Workers: 2})
 	if len(r.Pages) != 3 {
 		t.Errorf("unbudgeted crawl got %d pages, want 3", len(r.Pages))
 	}

@@ -2,10 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/webgen"
 )
 
@@ -14,7 +14,7 @@ func TestBuildWithAux(t *testing.T) {
 	dirs := w.GenerateDirectories(2, 1)
 	auxDomains := w.AttachDirectories(dirs)
 
-	snap, err := BuildWithAux("aux", w, w.Domains(), w.Labels(), auxDomains, crawler.Config{}, 4)
+	snap, err := BuildCtx(context.Background(), "aux", w, w.Domains(), w.Labels(), BuildOptions{Workers: 4, Aux: auxDomains})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBuildWithAux(t *testing.T) {
 func TestAuxSurvivesSerialization(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 21, NumLegit: 4, NumIllegit: 8, NetworkSize: 4})
 	auxDomains := w.AttachDirectories(w.GenerateDirectories(1, 1))
-	snap, err := BuildWithAux("aux-io", w, w.Domains(), w.Labels(), auxDomains, crawler.Config{}, 2)
+	snap, err := BuildCtx(context.Background(), "aux-io", w, w.Domains(), w.Labels(), BuildOptions{Workers: 2, Aux: auxDomains})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAuxSurvivesSerialization(t *testing.T) {
 
 func TestBuildWithoutAuxHasNone(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 22, NumLegit: 3, NumIllegit: 6, NetworkSize: 3})
-	snap, err := Build("plain", w, w.Domains(), w.Labels(), crawler.Config{}, 2)
+	snap, err := BuildCtx(context.Background(), "plain", w, w.Domains(), w.Labels(), BuildOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

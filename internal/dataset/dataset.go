@@ -74,19 +74,6 @@ type Snapshot struct {
 	hash     string
 }
 
-// Build crawls every domain through the fetcher, preprocesses the text
-// (summarization + stop-word removal, no stemming) and extracts the
-// outbound endpoints. labels must contain every domain.
-func Build(name string, f crawler.Fetcher, domains []string, labels map[string]int, cfg crawler.Config, workers int) (*Snapshot, error) {
-	return BuildCtx(context.Background(), name, f, domains, labels, BuildOptions{Crawl: cfg, Workers: workers})
-}
-
-// BuildWithAux is Build plus a set of auxiliary non-pharmacy domains
-// whose outbound links are collected into Snapshot.Aux.
-func BuildWithAux(name string, f crawler.Fetcher, domains []string, labels map[string]int, auxDomains []string, cfg crawler.Config, workers int) (*Snapshot, error) {
-	return BuildCtx(context.Background(), name, f, domains, labels, BuildOptions{Crawl: cfg, Workers: workers, Aux: auxDomains})
-}
-
 // BuildOptions configures a snapshot build.
 type BuildOptions struct {
 	// Crawl bounds each per-domain crawl.
@@ -114,18 +101,20 @@ const (
 	crawlAuxCheckpointKind = "crawl-aux"
 )
 
-// BuildCtx is Build with cooperative cancellation, graceful degradation
-// and optional checkpointed resume. When ctx is cancelled or its
-// deadline expires mid-build, BuildCtx returns the partial snapshot
-// assembled from the domains whose crawls completed — the shortfall is
-// recorded in CrawlStats.DomainsMissing — together with ctx's error, so
-// callers can choose between using the degraded snapshot and resuming
-// the run. Interrupted domains are never included (and never
-// checkpointed): a resumed build recomputes them from scratch.
+// BuildCtx crawls every domain through the fetcher, preprocesses the
+// text (summarization + stop-word removal, no stemming) and extracts
+// the outbound endpoints; labels must contain every domain. Auxiliary
+// domains in opts.Aux are crawled into Snapshot.Aux.
+//
+// The build degrades gracefully and can resume from a checkpoint. When
+// ctx is cancelled or its deadline expires mid-build, BuildCtx returns
+// the partial snapshot assembled from the domains whose crawls
+// completed — the shortfall is recorded in CrawlStats.DomainsMissing —
+// together with ctx's error, so callers can choose between using the
+// degraded snapshot and resuming the run. Interrupted domains are never
+// included (and never checkpointed): a resumed build recomputes them
+// from scratch.
 func BuildCtx(ctx context.Context, name string, f crawler.Fetcher, domains []string, labels map[string]int, opts BuildOptions) (*Snapshot, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for _, d := range domains {
 		if _, ok := labels[d]; !ok {
 			return nil, fmt.Errorf("dataset: no label for domain %q", d)
@@ -196,13 +185,14 @@ func isCancel(err error) bool {
 }
 
 // crawlCheckpointed fans the domain crawls out through the shared
-// parallel engine, replaying checkpointed domains from the journal and
-// journaling freshly completed ones. Interrupted crawls (Stats.Cancels
-// set) are never journaled.
+// parallel engine. With a checkpoint store it replays checkpointed
+// domains from the journal and journals freshly completed ones;
+// interrupted crawls (Stats.Cancels set) are never journaled. On
+// cancellation no new domains are started: domains already crawling
+// return partial results with Stats.Cancels set, unstarted domains are
+// absent from the map, and ctx's error is returned alongside whatever
+// completed.
 func crawlCheckpointed(ctx context.Context, f crawler.Fetcher, domains []string, opts BuildOptions, kind string) (map[string]crawler.Result, error) {
-	if opts.Checkpoint == nil {
-		return crawler.CrawlAllCtx(ctx, f, domains, opts.Crawl, opts.Workers)
-	}
 	ckpt := opts.Checkpoint
 	slots := make([]crawler.Result, len(domains))
 	have := make([]bool, len(domains))
@@ -210,12 +200,14 @@ func crawlCheckpointed(ctx context.Context, f crawler.Fetcher, domains []string,
 	cancelErr := parallel.ForCtx(ctx, len(domains), opts.Workers, func(i int) {
 		d := domains[i]
 		var r crawler.Result
-		if ok, err := ckpt.GetJSON(kind, d, &r); err == nil && ok && r.Domain == d && r.Stats.Cancels == 0 {
-			slots[i], have[i] = r, true
-			return
+		if ckpt != nil {
+			if ok, err := ckpt.GetJSON(kind, d, &r); err == nil && ok && r.Domain == d && r.Stats.Cancels == 0 {
+				slots[i], have[i] = r, true
+				return
+			}
 		}
 		r = crawler.CrawlCtx(ctx, f, d, opts.Crawl)
-		if r.Stats.Cancels == 0 && ctx.Err() == nil {
+		if ckpt != nil && r.Stats.Cancels == 0 && ctx.Err() == nil {
 			putErrs[i] = ckpt.PutJSON(kind, d, r)
 		}
 		slots[i], have[i] = r, true

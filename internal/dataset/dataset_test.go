@@ -2,10 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/ml"
 	"pharmaverify/internal/webgen"
 )
@@ -13,7 +13,7 @@ import (
 func buildSmall(t *testing.T, seed int64) (*Snapshot, *webgen.World) {
 	t.Helper()
 	w := webgen.Generate(webgen.Config{Seed: seed, NumLegit: 5, NumIllegit: 15, NetworkSize: 5})
-	snap, err := Build("test", w, w.Domains(), w.Labels(), crawler.Config{}, 4)
+	snap, err := BuildCtx(context.Background(), "test", w, w.Domains(), w.Labels(), BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBuildOutboundEndpoints(t *testing.T) {
 
 func TestBuildMissingLabel(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 4, NumLegit: 2, NumIllegit: 2, NetworkSize: 2})
-	if _, err := Build("x", w, w.Domains(), map[string]int{}, crawler.Config{}, 2); err == nil {
+	if _, err := BuildCtx(context.Background(), "x", w, w.Domains(), map[string]int{}, BuildOptions{Workers: 2}); err == nil {
 		t.Error("missing labels must error")
 	}
 }
@@ -159,11 +159,11 @@ func TestSnapshotAccessors(t *testing.T) {
 func TestSnapshotsDisjointIllegitimate(t *testing.T) {
 	w1 := webgen.Generate(webgen.Config{Seed: 8, Snapshot: 1, NumLegit: 4, NumIllegit: 10, NetworkSize: 5})
 	w2 := webgen.Generate(webgen.Config{Seed: 8, Snapshot: 2, NumLegit: 4, NumIllegit: 8, IllegitOffset: 10, NetworkSize: 5})
-	s1, err := Build("d1", w1, w1.Domains(), w1.Labels(), crawler.Config{}, 2)
+	s1, err := BuildCtx(context.Background(), "d1", w1, w1.Domains(), w1.Labels(), BuildOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Build("d2", w2, w2.Domains(), w2.Labels(), crawler.Config{}, 2)
+	s2, err := BuildCtx(context.Background(), "d2", w2, w2.Domains(), w2.Labels(), BuildOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

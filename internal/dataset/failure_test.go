@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -45,7 +46,7 @@ func TestBuildSurvivesFlakyFetches(t *testing.T) {
 	f := &flakyFetcher{inner: staticSite{}, n: 3}
 	domains := []string{"d1.example", "d2.example", "d3.example"}
 	labels := map[string]int{"d1.example": 1, "d2.example": 0, "d3.example": 0}
-	snap, err := Build("flaky", f, domains, labels, crawler.Config{Workers: 1}, 1)
+	snap, err := BuildCtx(context.Background(), "flaky", f, domains, labels, BuildOptions{Crawl: crawler.Config{Workers: 1}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestBuildTotalFetchFailure(t *testing.T) {
 	dead := crawler.FetcherFunc(func(domain, path string) (string, error) {
 		return "", errors.New("connection refused")
 	})
-	snap, err := Build("dead", dead, []string{"gone.example"}, map[string]int{"gone.example": 0}, crawler.Config{}, 1)
+	snap, err := BuildCtx(context.Background(), "dead", dead, []string{"gone.example"}, map[string]int{"gone.example": 0}, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestBuildHugePageTruncationFree(t *testing.T) {
 		}
 		return "<p>" + strings.Repeat("megapage viagra content ", 40000) + "</p>", nil
 	})
-	snap, err := Build("big", big, []string{"big.example"}, map[string]int{"big.example": 0}, crawler.Config{}, 1)
+	snap, err := BuildCtx(context.Background(), "big", big, []string{"big.example"}, map[string]int{"big.example": 0}, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"pharmaverify/internal/checkpoint"
 	"pharmaverify/internal/crawler"
@@ -66,7 +68,7 @@ func TestBuildInterruptResumeByteIdentical(t *testing.T) {
 	labels := w.Labels()
 	cfg := crawler.Config{}
 
-	reference, err := Build("resume", w, domains, labels, cfg, 2)
+	reference, err := BuildCtx(context.Background(), "resume", w, domains, labels, BuildOptions{Crawl: cfg, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,5 +194,103 @@ func TestBuildQuarantineRecompute(t *testing.T) {
 	}
 	if fetched := rec2.domains(); len(fetched) != 0 {
 		t.Errorf("post-repair build fetched %d domains, want 0 (%v)", len(fetched), fetched)
+	}
+}
+
+// TestBuildCancelSameWithAndWithoutStore pins the build's one crawl
+// fan-out: a checkpoint store changes what is journaled, never what is
+// built. Uninterrupted builds are byte-identical with and without a
+// store. A mid-build cancel returns ctx's error, counts every domain
+// that did not complete (interrupted or never started) in
+// CrawlStats.DomainsMissing, and keeps the same completed domains
+// either way.
+func TestBuildCancelSameWithAndWithoutStore(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 23, NumLegit: 4, NumIllegit: 8, NetworkSize: 4})
+	domains := w.Domains()
+	labels := w.Labels()
+	newStore := func() *checkpoint.Store {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+
+	plain, err := BuildCtx(context.Background(), "cancel", w, domains, labels, BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := BuildCtx(context.Background(), "cancel", w, domains, labels, BuildOptions{Workers: 2, Checkpoint: newStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotBytes(t, plain), snapshotBytes(t, journaled)) {
+		t.Fatal("uninterrupted build differs with a checkpoint store")
+	}
+
+	// One worker visits the domains in input order, so the cancel fired
+	// from the middle domain's first fetch leaves exactly the earlier
+	// domains complete.
+	mid := len(domains) / 2
+	cancelAtMid := func(store *checkpoint.Store) []byte {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tripwire := crawler.FetcherFunc(func(d, p string) (string, error) {
+			if d == domains[mid] {
+				cancel()
+			}
+			return w.Fetch(d, p)
+		})
+		snap, err := BuildCtx(ctx, "cancel", tripwire, domains, labels, BuildOptions{Workers: 1, Checkpoint: store})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("store=%v: err = %v, want context.Canceled", store != nil, err)
+		}
+		if snap.Len() != mid {
+			t.Fatalf("store=%v: %d domains completed, want the %d before the cancel", store != nil, snap.Len(), mid)
+		}
+		if got := snap.CrawlStats.DomainsMissing; got != len(domains)-mid {
+			t.Fatalf("store=%v: DomainsMissing = %d, want %d", store != nil, got, len(domains)-mid)
+		}
+		if store != nil && store.Count(crawlCheckpointKind) != mid {
+			t.Fatalf("journaled %d domains, want the %d completed ones", store.Count(crawlCheckpointKind), mid)
+		}
+		return snapshotBytes(t, snap)
+	}
+	if !bytes.Equal(cancelAtMid(nil), cancelAtMid(newStore())) {
+		t.Error("cancelled build differs with a checkpoint store")
+	}
+
+	// Every fetch blocks until the context dies, so the first wave of
+	// domains is in flight when the cancel arrives and none completes:
+	// the in-flight and the unstarted domains are all missing, and no
+	// crawl goroutine outlives the build.
+	for _, store := range []*checkpoint.Store{nil, newStore()} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		blocked := crawler.FetcherFunc(func(d, p string) (string, error) {
+			<-ctx.Done()
+			return "", ctx.Err()
+		})
+		time.AfterFunc(20*time.Millisecond, cancel)
+		snap, err := BuildCtx(ctx, "cancel", blocked, domains, labels, BuildOptions{Workers: 2, Checkpoint: store})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("store=%v: err = %v, want context.Canceled", store != nil, err)
+		}
+		if snap.Len() != 0 || snap.CrawlStats.DomainsMissing != len(domains) {
+			t.Fatalf("store=%v: %d built, %d missing; want 0 built, all %d missing",
+				store != nil, snap.Len(), snap.CrawlStats.DomainsMissing, len(domains))
+		}
+		if store != nil && store.Count(crawlCheckpointKind) != 0 {
+			t.Fatalf("journaled %d interrupted domains", store.Count(crawlCheckpointKind))
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("store=%v: %d goroutines alive after the build, want <= %d",
+					store != nil, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

@@ -2,15 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/webgen"
 )
 
 func TestBuildRecordsCrawlStats(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 9, NumLegit: 3, NumIllegit: 6, NetworkSize: 3})
-	snap, err := Build("stats", w, w.Domains(), w.Labels(), crawler.Config{}, 4)
+	snap, err := BuildCtx(context.Background(), "stats", w, w.Domains(), w.Labels(), BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildRecordsCrawlStats(t *testing.T) {
 
 func TestOutboundMemoizedAndStable(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 9, NumLegit: 3, NumIllegit: 6, NetworkSize: 3})
-	snap, err := Build("memo", w, w.Domains(), w.Labels(), crawler.Config{}, 4)
+	snap, err := BuildCtx(context.Background(), "memo", w, w.Domains(), w.Labels(), BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestCrossValidateCheckpointReplay(t *testing.T) {
 	store := openStore(t)
 	opt := CVOptions{Checkpoint: store, CheckpointKey: "replay/k3/seed7"}
 
-	ref, err := CrossValidateOpts(ds, 3, 7, func() ml.Classifier { return &meanClassifier{} }, nil, opt)
+	ref, err := CrossValidateCtx(context.Background(), ds, 3, 7, func() ml.Classifier { return &meanClassifier{} }, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCrossValidateCheckpointReplay(t *testing.T) {
 		calls.Add(1)
 		return &meanClassifier{}
 	}
-	replayed, err := CrossValidateOpts(ds, 3, 7, counting, nil, opt)
+	replayed, err := CrossValidateCtx(context.Background(), ds, 3, 7, counting, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCrossValidateCheckpointReplay(t *testing.T) {
 func TestCrossValidateCheckpointResume(t *testing.T) {
 	ds := imbalancedDataset(150, 30, 32)
 	trainer := func() ml.Classifier { return &meanClassifier{} }
-	want, err := CrossValidate(ds, 3, 9, trainer, jitterOversample)
+	want, err := CrossValidateCtx(context.Background(), ds, 3, 9, trainer, jitterOversample, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCrossValidateCheckpointResume(t *testing.T) {
 		resumedFits.Add(1)
 		return &meanClassifier{}
 	}
-	got, err := CrossValidateOpts(ds, 3, 9, counting, jitterOversample, opt)
+	got, err := CrossValidateCtx(context.Background(), ds, 3, 9, counting, jitterOversample, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,9 +189,6 @@ type FoldInput struct {
 // classifiers evaluated over the same configuration can reuse one
 // prepared set with bit-identical results.
 func PrepareFoldsCtx(ctx context.Context, ds *ml.Dataset, k int, seed int64, sample Sampler) (Folds, []FoldInput, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	folds := StratifiedKFold(ds, k, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	inputs := make([]FoldInput, len(folds))
@@ -212,17 +209,11 @@ func PrepareFoldsCtx(ctx context.Context, ds *ml.Dataset, k int, seed int64, sam
 // foldCheckpointKind is the checkpoint namespace for CV fold results.
 const foldCheckpointKind = "fold"
 
-// CrossValidate runs stratified k-fold cross-validation of the trainer
-// on ds. The sampler (if non-nil) is applied to each training split
-// only; the test split always keeps the natural distribution, matching
-// the paper's protocol. Folds are evaluated concurrently with the
-// default worker count; see CrossValidateOpts for the determinism
-// contract.
-func CrossValidate(ds *ml.Dataset, k int, seed int64, train Trainer, sample Sampler) (CVResult, error) {
-	return CrossValidateOpts(ds, k, seed, train, sample, CVOptions{})
-}
-
-// CrossValidateOpts is CrossValidate with explicit execution options.
+// CrossValidateCtx runs stratified k-fold cross-validation of the
+// trainer on ds. The sampler (if non-nil) is applied to each training
+// split only; the test split always keeps the natural distribution,
+// matching the paper's protocol. Folds are evaluated concurrently on up
+// to opt.Workers goroutines (<= 0 uses the shared worker default).
 //
 // Determinism contract: the per-fold training sets — including every
 // sampler draw from the master seed's RNG stream — are materialized
@@ -233,20 +224,13 @@ func CrossValidate(ds *ml.Dataset, k int, seed int64, train Trainer, sample Samp
 // training set, which all repository learners honor). Parallel results
 // are therefore bit-identical to a sequential run of the historical
 // single-threaded loop.
-func CrossValidateOpts(ds *ml.Dataset, k int, seed int64, train Trainer, sample Sampler, opt CVOptions) (CVResult, error) {
-	return CrossValidateCtx(context.Background(), ds, k, seed, train, sample, opt)
-}
-
-// CrossValidateCtx is CrossValidateOpts with cooperative cancellation
-// and optional per-fold checkpointing. On cancellation it stops
-// dispatching folds, drains the in-flight ones (journaling them when a
-// checkpoint store is configured) and returns ctx's error; a subsequent
-// run with the same inputs and CVOptions.CheckpointKey resumes from the
-// completed folds.
+//
+// Cancellation and optional per-fold checkpointing: on cancellation it
+// stops dispatching folds, drains the in-flight ones (journaling them
+// when a checkpoint store is configured) and returns ctx's error; a
+// subsequent run with the same inputs and CVOptions.CheckpointKey
+// resumes from the completed folds.
 func CrossValidateCtx(ctx context.Context, ds *ml.Dataset, k int, seed int64, train Trainer, sample Sampler, opt CVOptions) (CVResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Pre-draw phase (sequential, fold order): consume the shared
 	// sampler stream exactly as the sequential loop did. This phase must
 	// run in full even for a checkpoint-resumed CV — skipping a fold's

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -97,7 +98,7 @@ func (c *thresholdClassifier) Predict(x ml.Vector) int {
 
 func TestCrossValidateSeparableData(t *testing.T) {
 	ds := imbalancedDataset(300, 60, 4)
-	res, err := CrossValidate(ds, 3, 99, func() ml.Classifier { return &thresholdClassifier{} }, nil)
+	res, err := CrossValidateCtx(context.Background(), ds, 3, 99, func() ml.Classifier { return &thresholdClassifier{} }, nil, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCrossValidateAppliesSamplerOnlyToTrain(t *testing.T) {
 		sampledSizes = append(sampledSizes, out.Len())
 		return out
 	}
-	res, err := CrossValidate(ds, 3, 1, func() ml.Classifier { return &thresholdClassifier{} }, sampler)
+	res, err := CrossValidateCtx(context.Background(), ds, 3, 1, func() ml.Classifier { return &thresholdClassifier{} }, sampler, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCrossValidateAppliesSamplerOnlyToTrain(t *testing.T) {
 
 func TestCVResultCI(t *testing.T) {
 	ds := imbalancedDataset(300, 60, 6)
-	res, err := CrossValidate(ds, 3, 123, func() ml.Classifier { return &thresholdClassifier{} }, nil)
+	res, err := CrossValidateCtx(context.Background(), ds, 3, 123, func() ml.Classifier { return &thresholdClassifier{} }, nil, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,21 +167,21 @@ func TestCrossValidatePreparedFoldsEquivalent(t *testing.T) {
 	trainer := func() ml.Classifier { return &thresholdClassifier{} }
 	sampler := func(d *ml.Dataset, rng *rand.Rand) *ml.Dataset {
 		// Draw from the master stream so stream alignment is exercised.
-		idx := rng.Perm(d.Len())[: d.Len()/2+1]
+		idx := rng.Perm(d.Len())[:d.Len()/2+1]
 		sort.Ints(idx)
 		return d.Subset(idx)
 	}
 	for _, smp := range []Sampler{nil, sampler} {
-		inline, err := CrossValidate(ds, 3, 42, trainer, smp)
+		inline, err := CrossValidateCtx(context.Background(), ds, 3, 42, trainer, smp, CVOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, inputs, err := PrepareFoldsCtx(nil, ds, 3, 42, smp)
+		_, inputs, err := PrepareFoldsCtx(context.Background(), ds, 3, 42, smp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for range 2 { // a prepared set is reusable across runs
-			prepared, err := CrossValidateOpts(ds, 3, 42, trainer, smp, CVOptions{Prepared: inputs})
+			prepared, err := CrossValidateCtx(context.Background(), ds, 3, 42, trainer, smp, CVOptions{Prepared: inputs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestCrossValidatePreparedFoldsEquivalent(t *testing.T) {
 		}
 	}
 	// Mismatched fold counts are rejected, not silently misused.
-	if _, err := CrossValidateOpts(ds, 4, 42, trainer, nil, CVOptions{Prepared: make([]FoldInput, 3)}); err == nil {
+	if _, err := CrossValidateCtx(context.Background(), ds, 4, 42, trainer, nil, CVOptions{Prepared: make([]FoldInput, 3)}); err == nil {
 		t.Fatal("k=4 accepted 3 prepared folds")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -13,7 +14,7 @@ import (
 // instances with random noise, consuming a data-dependent number of
 // draws from the shared master stream. Any deviation from the
 // sequential draw order changes the synthetic instances — exactly the
-// hazard the pre-draw phase of CrossValidateOpts exists to prevent.
+// hazard the pre-draw phase of CrossValidateCtx exists to prevent.
 func jitterOversample(ds *ml.Dataset, rng *rand.Rand) *ml.Dataset {
 	out := &ml.Dataset{Dim: ds.Dim}
 	for i := range ds.X {
@@ -65,7 +66,7 @@ func (c *meanClassifier) Predict(x ml.Vector) int  { return ml.PredictFromProb(c
 func TestCrossValidateParallelDeterministic(t *testing.T) {
 	ds := imbalancedDataset(240, 40, 5)
 	run := func(workers int) CVResult {
-		res, err := CrossValidateOpts(ds, 3, 77,
+		res, err := CrossValidateCtx(context.Background(), ds, 3, 77,
 			func() ml.Classifier { return &meanClassifier{} },
 			jitterOversample, CVOptions{Workers: workers})
 		if err != nil {
@@ -91,8 +92,8 @@ func TestCrossValidateParallelError(t *testing.T) {
 		calls++
 		return &failingClassifier{fail: true}
 	}
-	_, errSeq := CrossValidateOpts(ds, 3, 9, trainer, nil, CVOptions{Workers: 1})
-	_, errPar := CrossValidateOpts(ds, 3, 9, trainer, nil, CVOptions{Workers: 4})
+	_, errSeq := CrossValidateCtx(context.Background(), ds, 3, 9, trainer, nil, CVOptions{Workers: 1})
+	_, errPar := CrossValidateCtx(context.Background(), ds, 3, 9, trainer, nil, CVOptions{Workers: 4})
 	if errSeq == nil || errPar == nil {
 		t.Fatal("expected errors from failing classifier")
 	}

@@ -85,9 +85,6 @@ func (s *Selection) Fit(ds *ml.Dataset) error {
 // the greedy selection is skipped, leaving the selection unfitted and
 // returning ctx's error.
 func (s *Selection) FitCtx(ctx context.Context, ds *ml.Dataset) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(s.Library) == 0 {
 		return ErrEmptyLibrary
 	}

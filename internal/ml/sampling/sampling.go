@@ -5,7 +5,7 @@
 // synthetic minority oversampling (Chawla et al., JAIR 2002).
 //
 // All functions leave the input dataset untouched and return a new one;
-// they are designed to plug into eval.CrossValidate as Samplers so that
+// they are designed to plug into eval.CrossValidateCtx as Samplers so that
 // rebalancing only ever touches the training split.
 package sampling
 

@@ -6,10 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// ForCtx is For with cooperative cancellation: once ctx is cancelled no
-// further indices are dispatched, the in-flight calls are drained (they
-// are never interrupted mid-item), and the context's error is returned.
-// A nil return means every index ran.
+// ForCtx runs f(0) … f(n-1) on up to Workers(workers) goroutines and
+// returns when all calls have finished. Items are handed out in index
+// order; with workers resolving to 1 the loop runs inline with no
+// goroutines. A panic in any f is re-raised in the caller (the one
+// from the lowest index, matching a sequential loop).
+//
+// Once ctx is cancelled no further indices are dispatched, the
+// in-flight calls are drained (they are never interrupted mid-item),
+// and the context's error is returned. A nil return means every index
+// ran.
 //
 // Cancellation preserves the determinism contract in truncated form:
 // the set of indices that ran is a scheduling-dependent subset, but
@@ -18,9 +24,6 @@ import (
 // or corrupt it. Callers that need to know which items completed must
 // record that inside f.
 func ForCtx(ctx context.Context, n, workers int, f func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	w := Workers(workers)
 	if w > n {
 		w = n
@@ -79,11 +82,13 @@ func ForCtx(ctx context.Context, n, workers int, f func(i int)) error {
 	return ctx.Err()
 }
 
-// MapErrCtx is MapErr with cooperative cancellation. On cancellation
-// the results are discarded and an error is returned: the error of the
-// lowest index whose f failed before the cancel, if any (matching the
-// sequential loop), otherwise ctx.Err(). Like MapErr, a non-nil error
-// from any completed index also discards the results.
+// MapErrCtx runs f for every index on up to Workers(workers)
+// goroutines and returns the results ordered by index. If any call
+// fails, the error of the lowest failing index is returned — the same
+// error a sequential loop would surface first — and the results are
+// discarded. On cancellation the results are likewise discarded and
+// the error is that of the lowest index whose f failed before the
+// cancel, if any, otherwise ctx.Err().
 func MapErrCtx[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

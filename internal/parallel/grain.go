@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -123,18 +122,6 @@ func GrainDecisions() map[string]string {
 		out[site] = p.String()
 	}
 	return out
-}
-
-// GrainSites lists the recorded call sites in sorted order.
-func GrainSites() []string {
-	grainMu.Lock()
-	defer grainMu.Unlock()
-	sites := make([]string, 0, len(grainLog))
-	for s := range grainLog {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	return sites
 }
 
 // ResetGrainDecisions clears the recorded plans (the bench harness

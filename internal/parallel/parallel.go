@@ -6,16 +6,16 @@
 // Determinism contract: the engine never changes *what* is computed,
 // only *when*. Callers must make each work item self-contained before
 // dispatch — any shared random stream has to be pre-drawn in index
-// order (see eval.CrossValidateOpts) — and then For/MapErr guarantee
-// that the assembled results, including the error surfaced by MapErr,
-// are identical to a sequential loop over the same items.
+// order (see eval.CrossValidateCtx) — and then ForCtx/MapErrCtx
+// guarantee that the assembled results, including the error surfaced
+// by MapErrCtx, are identical to a sequential loop over the same items.
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -60,60 +60,6 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs f(0) … f(n-1) on up to Workers(workers) goroutines and
-// returns when all calls have finished. Items are handed out in index
-// order; with workers resolving to 1 the loop runs inline with no
-// goroutines. A panic in any f is re-raised in the caller (the one
-// from the lowest index, matching a sequential loop).
-func For(n, workers int, f func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicIdx = -1
-		panicVal any
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					f(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(panicVal)
-	}
-}
-
 // ForGrain runs f over the index range [0, n) in contiguous chunks of
 // at most grain indices: f(lo, hi) processes indices lo <= i < hi.
 // Chunks are dispatched to up to Workers(workers) goroutines in chunk
@@ -143,7 +89,7 @@ func ForGrain(n, workers, grain int, f func(lo, hi int)) {
 		}
 	}
 	chunks := (n + grain - 1) / grain
-	For(chunks, workers, func(c int) {
+	ForCtx(context.Background(), chunks, workers, func(c int) {
 		lo := c * grain
 		hi := lo + grain
 		if hi > n {
@@ -151,44 +97,4 @@ func ForGrain(n, workers, grain int, f func(lo, hi int)) {
 		}
 		f(lo, hi)
 	})
-}
-
-// MapErrGrain is MapErr with chunked dispatch: f is still called once
-// per index and the results are ordered by index, but indices are
-// handed to workers in contiguous chunks of at most grain (see
-// ForGrain). If any call fails, the error of the lowest failing index
-// is returned — the same error a sequential loop would surface first —
-// and the results are discarded.
-func MapErrGrain[T any](n, workers, grain int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	ForGrain(n, workers, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = f(i)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// MapErr runs f for every index on up to Workers(workers) goroutines
-// and returns the results ordered by index. If any call fails, the
-// error of the lowest failing index is returned — the same error a
-// sequential loop would surface first — and the results are discarded.
-func MapErr[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	For(n, workers, func(i int) {
-		out[i], errs[i] = f(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

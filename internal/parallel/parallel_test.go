@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,7 +14,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 123
 		counts := make([]int64, n)
-		For(n, workers, func(i int) { atomic.AddInt64(&counts[i], 1) })
+		ForCtx(context.Background(), n, workers, func(i int) { atomic.AddInt64(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, c)
@@ -23,9 +24,9 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForZeroAndTinyN(t *testing.T) {
-	For(0, 4, func(i int) { t.Fatalf("f called for n=0 (i=%d)", i) })
+	ForCtx(context.Background(), 0, 4, func(i int) { t.Fatalf("f called for n=0 (i=%d)", i) })
 	ran := false
-	For(1, 8, func(i int) { ran = true })
+	ForCtx(context.Background(), 1, 8, func(i int) { ran = true })
 	if !ran {
 		t.Fatal("f not called for n=1")
 	}
@@ -33,7 +34,7 @@ func TestForZeroAndTinyN(t *testing.T) {
 
 func TestForBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
-	For(64, 3, func(i int) {
+	ForCtx(context.Background(), 64, 3, func(i int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -49,7 +50,7 @@ func TestForBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapErrOrdersResults(t *testing.T) {
-	out, err := MapErr(50, 8, func(i int) (int, error) { return i * i, nil })
+	out, err := MapErrCtx(context.Background(), 50, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestMapErrOrdersResults(t *testing.T) {
 func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
-	_, err := MapErr(20, 8, func(i int) (int, error) {
+	_, err := MapErrCtx(context.Background(), 20, 8, func(i int) (int, error) {
 		switch i {
 		case 3:
 			return 0, errLow
@@ -81,11 +82,11 @@ func TestMapErrMatchesSequential(t *testing.T) {
 	// The parallel engine must be a pure reordering of execution: the
 	// assembled results are identical at any worker count.
 	f := func(i int) (string, error) { return fmt.Sprintf("item-%d", i*7%13), nil }
-	seq, err := MapErr(40, 1, f)
+	seq, err := MapErrCtx(context.Background(), 40, 1, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MapErr(40, runtime.GOMAXPROCS(0)*2, f)
+	par, err := MapErrCtx(context.Background(), 40, runtime.GOMAXPROCS(0)*2, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestForPropagatesLowestPanic(t *testing.T) {
 			t.Fatalf("recovered %v, want lowest-index panic boom-2", r)
 		}
 	}()
-	For(16, 4, func(i int) {
+	ForCtx(context.Background(), 16, 4, func(i int) {
 		if i == 2 || i == 9 {
 			panic(fmt.Sprintf("boom-%d", i))
 		}
@@ -178,33 +179,6 @@ func TestForGrainChunkLayoutIndependentOfWorkers(t *testing.T) {
 
 func TestForGrainZeroN(t *testing.T) {
 	ForGrain(0, 4, 8, func(lo, hi int) { t.Fatal("f called for n=0") })
-}
-
-func TestMapErrGrainOrdersResultsAndErrors(t *testing.T) {
-	out, err := MapErrGrain(50, 8, 4, func(i int) (int, error) { return i * 3, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	_, err = MapErrGrain(40, 8, 3, func(i int) (int, error) {
-		switch i {
-		case 5:
-			return 0, errLow
-		case 31:
-			return 0, errHigh
-		}
-		return i, nil
-	})
-	if !errors.Is(err, errLow) {
-		t.Fatalf("err = %v, want lowest-index error %v", err, errLow)
-	}
 }
 
 func TestForGrainPropagatesLowestChunkPanic(t *testing.T) {

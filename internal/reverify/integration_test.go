@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pharmaverify/internal/core"
-	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/serve"
 	"pharmaverify/internal/webgen"
@@ -19,7 +18,7 @@ import (
 // pipeline's gauges render on the server's own /metrics endpoint.
 func TestPipelineOverLiveServer(t *testing.T) {
 	world := webgen.Generate(webgen.Config{Seed: 11, NumLegit: 6, NumIllegit: 12, NetworkSize: 8})
-	snap, err := dataset.Build("reverify-test", world, world.Domains(), world.Labels(), crawler.Config{}, 8)
+	snap, err := dataset.BuildCtx(context.Background(), "reverify-test", world, world.Domains(), world.Labels(), dataset.BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestPipelineOverLiveServer(t *testing.T) {
 // through a live server, and returns the resulting drift scores.
 func sweepDrift(t *testing.T, trainWorld, liveWorld *webgen.World) (term, link float64) {
 	t.Helper()
-	snap, err := dataset.Build("drift-test", trainWorld, trainWorld.Domains(), trainWorld.Labels(), crawler.Config{}, 8)
+	snap, err := dataset.BuildCtx(context.Background(), "drift-test", trainWorld, trainWorld.Domains(), trainWorld.Labels(), dataset.BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func testVerifier(t testing.TB) (*webgen.World, *dataset.Snapshot, *core.Verifie
 	worldOnce.Do(func() {
 		world = webgen.Generate(webgen.Config{Seed: 11, NumLegit: 12, NumIllegit: 36, NetworkSize: 12})
 		var err error
-		snap, err = dataset.Build("serve-test", world, world.Domains(), world.Labels(), crawler.Config{}, 8)
+		snap, err = dataset.BuildCtx(context.Background(), "serve-test", world, world.Domains(), world.Labels(), dataset.BuildOptions{Workers: 8})
 		if err != nil {
 			panic(err)
 		}

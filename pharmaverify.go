@@ -15,10 +15,12 @@
 //
 // # Quick start
 //
+//	ctx := context.Background()
 //	world := pharmaverify.GenerateWorld(pharmaverify.WorldConfig{Seed: 1})
-//	snap, err := pharmaverify.BuildSnapshot("crawl", world, world.Domains(), world.Labels())
+//	snap, err := pharmaverify.BuildSnapshotCtx(ctx, "crawl", world, world.Domains(), world.Labels(),
+//	    pharmaverify.BuildOptions{Workers: 16})
 //	// handle err
-//	v, err := pharmaverify.Train(snap, pharmaverify.Options{})
+//	v, err := pharmaverify.TrainCtx(ctx, snap, pharmaverify.Options{})
 //	// handle err
 //	for _, a := range v.Assess(snap.Pharmacies) {
 //	    fmt.Println(a.Domain, a.Legitimate, a.Rank)
@@ -125,14 +127,9 @@ func NewFaultInjector(inner Fetcher, cfg FaultConfig) *FaultInjector {
 	return crawler.NewFaultInjector(inner, cfg)
 }
 
-// Train builds a Verifier from a labeled snapshot.
-func Train(snap *Snapshot, opts Options) (*Verifier, error) {
-	return core.Train(snap, opts)
-}
-
-// TrainCtx is Train with cooperative cancellation, checked between the
-// training stages. A cancelled training returns ctx's error and no
-// verifier.
+// TrainCtx builds a Verifier from a labeled snapshot. Cancellation is
+// checked between the training stages; a cancelled training returns
+// ctx's error and no verifier.
 func TrainCtx(ctx context.Context, snap *Snapshot, opts Options) (*Verifier, error) {
 	return core.TrainCtx(ctx, snap, opts)
 }
@@ -160,33 +157,21 @@ func GenerateWorld(cfg WorldConfig) *World { return webgen.Generate(cfg) }
 func Dataset1(seed int64) WorldConfig { return webgen.Dataset1Config(seed) }
 func Dataset2(seed int64) WorldConfig { return webgen.Dataset2Config(seed) }
 
-// BuildSnapshot crawls the given domains through a fetcher (a World or
-// a live-HTTP fetcher), preprocesses the text and extracts the link
+// BuildSnapshotCtx crawls the given domains through a fetcher (a World
+// or a live-HTTP fetcher), preprocesses the text and extracts the link
 // endpoints. labels maps every domain to 1 (legitimate) or 0.
-func BuildSnapshot(name string, f Fetcher, domains []string, labels map[string]int) (*Snapshot, error) {
-	return dataset.Build(name, f, domains, labels, crawler.Config{}, 16)
-}
-
-// BuildSnapshotWithConfig is BuildSnapshot with explicit crawl bounds
-// and parallelism.
-func BuildSnapshotWithConfig(name string, f Fetcher, domains []string, labels map[string]int, cfg CrawlConfig, parallel int) (*Snapshot, error) {
-	return dataset.Build(name, f, domains, labels, cfg, parallel)
-}
-
-// BuildSnapshotWithAux additionally crawls auxiliary non-pharmacy
-// domains (directories, portals) whose links into the pharmacy set can
-// feed the network analysis — the paper's future-work extension (a).
-func BuildSnapshotWithAux(name string, f Fetcher, domains []string, labels map[string]int, auxDomains []string) (*Snapshot, error) {
-	return dataset.BuildWithAux(name, f, domains, labels, auxDomains, crawler.Config{}, 16)
-}
-
-// BuildSnapshotCtx is the fully-featured snapshot build: cooperative
-// cancellation, graceful degradation and optional checkpointed resume.
-// When ctx is cancelled or its deadline expires mid-build, it returns
-// the partial snapshot assembled from the completed domains (shortfall
-// in CrawlStats.DomainsMissing) together with ctx's error; with
-// BuildOptions.Checkpoint set, a rerun with the same inputs resumes
-// from the completed domains and produces a byte-identical snapshot.
+// BuildOptions sets the crawl bounds, the number of simultaneous domain
+// crawls, auxiliary non-pharmacy domains (directories, portals) whose
+// links into the pharmacy set feed the network analysis — the paper's
+// future-work extension (a) — and an optional checkpoint store.
+//
+// The build supports cooperative cancellation, graceful degradation
+// and checkpointed resume. When ctx is cancelled or its deadline
+// expires mid-build, it returns the partial snapshot assembled from the
+// completed domains (shortfall in CrawlStats.DomainsMissing) together
+// with ctx's error; with BuildOptions.Checkpoint set, a rerun with the
+// same inputs resumes from the completed domains and produces a
+// byte-identical snapshot.
 func BuildSnapshotCtx(ctx context.Context, name string, f Fetcher, domains []string, labels map[string]int, opts BuildOptions) (*Snapshot, error) {
 	return dataset.BuildCtx(ctx, name, f, domains, labels, opts)
 }

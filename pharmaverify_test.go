@@ -2,6 +2,7 @@ package pharmaverify
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // verifier and assess the pharmacies.
 func TestFacadeEndToEnd(t *testing.T) {
 	world := GenerateWorld(WorldConfig{Seed: 5, NumLegit: 12, NumIllegit: 60, NetworkSize: 20})
-	snap, err := BuildSnapshot("facade-test", world, world.Domains(), world.Labels())
+	snap, err := BuildSnapshotCtx(context.Background(), "facade-test", world, world.Domains(), world.Labels(), BuildOptions{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("counts = %d/%d", legit, illegit)
 	}
 
-	v, err := Train(snap, Options{Classifier: SVM, Seed: 3})
+	v, err := TrainCtx(context.Background(), snap, Options{Classifier: SVM, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 // verifies the restored verifier gives identical verdicts.
 func TestFacadeModelPersistence(t *testing.T) {
 	world := GenerateWorld(WorldConfig{Seed: 9, NumLegit: 8, NumIllegit: 40, NetworkSize: 20})
-	snap, err := BuildSnapshot("persist", world, world.Domains(), world.Labels())
+	snap, err := BuildSnapshotCtx(context.Background(), "persist", world, world.Domains(), world.Labels(), BuildOptions{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Train(snap, Options{Classifier: NBM, Seed: 2})
+	v, err := TrainCtx(context.Background(), snap, Options{Classifier: NBM, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
